@@ -222,6 +222,7 @@ func BenchmarkVircoeEmit(b *testing.B) {
 		b.Fatal(err)
 	}
 	timing := dram.TimingFor(chopper.Ambit, g)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vircoe.Emit(k.Prog(), pls, vircoe.BankAware, timing)

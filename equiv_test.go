@@ -10,7 +10,6 @@ import (
 	"errors"
 	"testing"
 
-	"chopper/internal/dram"
 	"chopper/internal/fault"
 	"chopper/internal/sim"
 	"chopper/internal/transpose"
@@ -29,7 +28,7 @@ tel`
 var equivLanes = []int{1, 63, 64, 65, 128}
 
 // genericRunRows executes the kernel the pre-rewrite way: a fresh machine
-// and an explicit []dram.Placed stream through Machine.RunCtx.
+// and an explicit []sim.PlacedOp stream through Machine.RunCtx.
 func genericRunRows(k *Kernel, rows map[string][][]uint64, lanes int, hook func(bank, sub int) sim.FaultHook, b Budget) (*RunResult, error) {
 	io, outRows, err := k.hostIO(rows, lanes)
 	if err != nil {
@@ -41,9 +40,9 @@ func genericRunRows(k *Kernel, rows map[string][][]uint64, lanes int, hook func(
 		Lanes: lanes,
 		Fault: hook,
 	})
-	stream := make([]dram.Placed, len(k.prog.Ops))
+	stream := make([]sim.PlacedOp, len(k.prog.Ops))
 	for i := range k.prog.Ops {
-		stream[i] = dram.Placed{Bank: 0, Subarray: 0, Op: k.prog.Ops[i]}
+		stream[i] = sim.PlacedOp{Bank: 0, Subarray: 0, Op: k.prog.Ops[i]}
 	}
 	t, err := m.RunCtx(nil, stream, io, b)
 	if err != nil {

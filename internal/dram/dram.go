@@ -254,11 +254,15 @@ func (t Timing) BusLatency(op *isa.Op) float64 {
 	return 0
 }
 
-// Placed is a micro-op bound to a physical subarray.
+// Placed is one timing command bound to a physical subarray. The engine
+// reads only an op's kind and immediate (the spill slot, for the SSD
+// model), so that is all a placed stream carries; sim.PlacedOp is the
+// whole-op element the functional simulator executes.
 type Placed struct {
-	Bank     int
-	Subarray int
-	Op       isa.Op
+	Bank     int32
+	Subarray int32
+	Kind     isa.OpKind
+	Imm      uint64
 }
 
 // Engine computes the makespan of a placed micro-op stream. Resources:
@@ -396,12 +400,11 @@ func (e *Engine) MemBytes() int64 {
 // Issue schedules one placed op and returns its completion time (ns since
 // engine start).
 func (e *Engine) Issue(p Placed) float64 {
-	return e.IssueOp(p.Bank, p.Subarray, p.Op.Kind, p.Op.Imm)
+	return e.IssueOp(int(p.Bank), int(p.Subarray), p.Kind, p.Imm)
 }
 
-// IssueOp is Issue without the Placed wrapper: schedulers that already hold
-// the op's kind and immediate (the pre-decoded execution stream) issue
-// through it without copying a whole isa.Op per command.
+// IssueOp is Issue without the Placed wrapper, for schedulers that hold a
+// command's fields separately (the pre-decoded execution stream).
 func (e *Engine) IssueOp(bank, sub int, kind isa.OpKind, imm uint64) float64 {
 	var lat, bus, energy float64
 	var transfer bool
@@ -536,7 +539,8 @@ func (e *Engine) RunCtx(ctx context.Context, stream []Placed, maxCommands int) (
 		if err := guard.Check(guard.DimDRAMCommands, maxCommands, i+1); err != nil {
 			return e.Makespan(), err
 		}
-		e.Issue(stream[i])
+		p := &stream[i]
+		e.IssueOp(int(p.Bank), int(p.Subarray), p.Kind, p.Imm)
 	}
 	e.stats.MakespanNs = e.Makespan()
 	return e.stats.MakespanNs, guard.Ctx(ctx)

@@ -3,6 +3,7 @@ package dram
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"chopper/internal/isa"
 )
@@ -139,6 +140,19 @@ func TestOpLatencies(t *testing.T) {
 	}
 }
 
+// placed binds a whole micro-op to a subarray as a timing command.
+func placed(bank, sub int, op isa.Op) Placed {
+	return Placed{Bank: int32(bank), Subarray: int32(sub), Kind: op.Kind, Imm: op.Imm}
+}
+
+// A placed stream runs to tiles x program length commands, so the command
+// stays timing-only: bank, subarray, kind and immediate.
+func TestPlacedIsCompact(t *testing.T) {
+	if n := unsafe.Sizeof(Placed{}); n > 24 {
+		t.Fatalf("dram.Placed is %d bytes, want <= 24", n)
+	}
+}
+
 // Two banks computing in parallel must take about as long as one bank, not
 // twice as long.
 func TestEngineBankLevelParallelism(t *testing.T) {
@@ -148,7 +162,7 @@ func TestEngineBankLevelParallelism(t *testing.T) {
 		var s []Placed
 		for i := 0; i < 100; i++ {
 			for bk := 0; bk < banks; bk++ {
-				s = append(s, Placed{Bank: bk, Subarray: 0, Op: isa.NewAP(isa.T0, isa.T1, isa.T2)})
+				s = append(s, placed(bk, 0, isa.NewAP(isa.T0, isa.T1, isa.T2)))
 			}
 		}
 		return s
@@ -169,7 +183,7 @@ func TestEngineBusSerialization(t *testing.T) {
 	var s []Placed
 	const n = 50
 	for i := 0; i < n; i++ {
-		s = append(s, Placed{Bank: i % 8, Subarray: 0, Op: isa.NewWrite(isa.Row(0), i)})
+		s = append(s, placed(i%8, 0, isa.NewWrite(isa.Row(0), i)))
 	}
 	e := NewEngine(g, tm, false)
 	mk := e.Run(s)
@@ -188,10 +202,10 @@ func TestEngineTransferComputeOverlap(t *testing.T) {
 	// Serial: all writes then all computes, same bank.
 	var serial []Placed
 	for i := 0; i < n; i++ {
-		serial = append(serial, Placed{Bank: 0, Subarray: 0, Op: isa.NewWrite(isa.Row(i), i)})
+		serial = append(serial, placed(0, 0, isa.NewWrite(isa.Row(i), i)))
 	}
 	for i := 0; i < n; i++ {
-		serial = append(serial, Placed{Bank: 0, Subarray: 0, Op: isa.NewAP(isa.T0, isa.T1, isa.T2)})
+		serial = append(serial, placed(0, 0, isa.NewAP(isa.T0, isa.T1, isa.T2)))
 	}
 	eS := NewEngine(g, tm, false)
 	tS := eS.Run(serial)
@@ -199,8 +213,8 @@ func TestEngineTransferComputeOverlap(t *testing.T) {
 	// Interleaved across two banks: bank 0 computes while bank 1 receives.
 	var inter []Placed
 	for i := 0; i < n; i++ {
-		inter = append(inter, Placed{Bank: 1, Subarray: 0, Op: isa.NewWrite(isa.Row(i), i)})
-		inter = append(inter, Placed{Bank: 0, Subarray: 0, Op: isa.NewAP(isa.T0, isa.T1, isa.T2)})
+		inter = append(inter, placed(1, 0, isa.NewWrite(isa.Row(i), i)))
+		inter = append(inter, placed(0, 0, isa.NewAP(isa.T0, isa.T1, isa.T2)))
 	}
 	eI := NewEngine(g, tm, false)
 	tI := eI.Run(inter)
@@ -215,7 +229,7 @@ func TestEngineSALP(t *testing.T) {
 	tm := TimingFor(isa.Ambit, g)
 	var s []Placed
 	for i := 0; i < 60; i++ {
-		s = append(s, Placed{Bank: 0, Subarray: i % 2, Op: isa.NewAP(isa.T0, isa.T1, isa.T2)})
+		s = append(s, placed(0, i%2, isa.NewAP(isa.T0, isa.T1, isa.T2)))
 	}
 	eNo := NewEngine(g, tm, false)
 	tNo := eNo.Run(s)
@@ -231,8 +245,8 @@ func TestEngineProgramOrder(t *testing.T) {
 	g := DefaultGeometry()
 	tm := TimingFor(isa.Ambit, g)
 	e := NewEngine(g, tm, true)
-	first := e.Issue(Placed{Bank: 0, Subarray: 0, Op: isa.NewAP(isa.T0, isa.T1, isa.T2)})
-	second := e.Issue(Placed{Bank: 0, Subarray: 0, Op: isa.NewAP(isa.T0, isa.T1, isa.T2)})
+	first := e.Issue(placed(0, 0, isa.NewAP(isa.T0, isa.T1, isa.T2)))
+	second := e.Issue(placed(0, 0, isa.NewAP(isa.T0, isa.T1, isa.T2)))
 	if second <= first {
 		t.Errorf("program order violated: %f then %f", first, second)
 	}
@@ -251,8 +265,8 @@ func TestEngineSSDHook(t *testing.T) {
 		}
 		return 1000
 	}
-	so := e.Issue(Placed{Bank: 0, Subarray: 0, Op: isa.NewSpillOut(isa.Row(0), 1)})
-	si := e.Issue(Placed{Bank: 0, Subarray: 0, Op: isa.NewSpillIn(isa.Row(0), 1)})
+	so := e.Issue(placed(0, 0, isa.NewSpillOut(isa.Row(0), 1)))
+	si := e.Issue(placed(0, 0, isa.NewSpillIn(isa.Row(0), 1)))
 	if !sawOut || !sawIn {
 		t.Error("SSD hook not invoked for spills")
 	}
@@ -273,8 +287,8 @@ func TestEngineStats(t *testing.T) {
 	tm := TimingFor(isa.Ambit, g)
 	e := NewEngine(g, tm, false)
 	e.Run([]Placed{
-		{Bank: 0, Subarray: 0, Op: isa.NewWrite(isa.Row(0), 0)},
-		{Bank: 0, Subarray: 0, Op: isa.NewAP(isa.T0, isa.T1, isa.T2)},
+		placed(0, 0, isa.NewWrite(isa.Row(0), 0)),
+		placed(0, 0, isa.NewAP(isa.T0, isa.T1, isa.T2)),
 	})
 	st := e.Stats()
 	if st.Ops != 2 || st.Transfers != 1 {

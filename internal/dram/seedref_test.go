@@ -33,6 +33,18 @@ type seedEngine struct {
 	stats EngineStats
 }
 
+// seedPlaced is a placed command as the seed engine consumed it: a whole
+// micro-op. The live engine is fed its compact form.
+type seedPlaced struct {
+	Bank     int
+	Subarray int
+	Op       isa.Op
+}
+
+func (p seedPlaced) compact() Placed {
+	return Placed{Bank: int32(p.Bank), Subarray: int32(p.Subarray), Kind: p.Op.Kind, Imm: p.Op.Imm}
+}
+
 func newSeedEngine(g Geometry, t Timing, salp bool) *seedEngine {
 	return &seedEngine{
 		geom: g, timing: t, salp: salp,
@@ -42,14 +54,14 @@ func newSeedEngine(g Geometry, t Timing, salp bool) *seedEngine {
 	}
 }
 
-func (e *seedEngine) unitKeyFor(p *Placed) unitKey {
+func (e *seedEngine) unitKeyFor(p *seedPlaced) unitKey {
 	if e.salp {
 		return unitKey{p.Bank, p.Subarray}
 	}
 	return unitKey{p.Bank, 0}
 }
 
-func (e *seedEngine) issue(p Placed) float64 {
+func (e *seedEngine) issue(p seedPlaced) float64 {
 	lat := e.timing.OpLatency(&p.Op)
 	bus := e.timing.BusLatency(&p.Op)
 
@@ -117,7 +129,7 @@ func (e *seedEngine) makespan() float64 { return e.now * (1 + RefreshOverhead) }
 
 // genStream builds a random placed command stream, including placements
 // beyond the geometry (the overflow-map path) and unknown op kinds.
-func genStream(rng *rand.Rand, g Geometry, n int) []Placed {
+func genStream(rng *rand.Rand, g Geometry, n int) []seedPlaced {
 	ops := []isa.Op{
 		isa.NewAAP(isa.Row(0), isa.Row(1)),
 		isa.NewAP(isa.T0, isa.T1, isa.T2),
@@ -128,14 +140,14 @@ func genStream(rng *rand.Rand, g Geometry, n int) []Placed {
 		isa.NewRowInit(isa.Row(4), 0),
 		{Kind: isa.OpKind(99)}, // unknown kind: zero-latency, like the seed
 	}
-	stream := make([]Placed, n)
+	stream := make([]seedPlaced, n)
 	for i := range stream {
 		bank := rng.Intn(g.Banks)
 		sub := rng.Intn(g.SubarraysPB)
 		if rng.Intn(20) == 0 { // beyond-geometry placement
 			bank = g.Banks + rng.Intn(3)
 		}
-		stream[i] = Placed{Bank: bank, Subarray: sub, Op: ops[rng.Intn(len(ops))]}
+		stream[i] = seedPlaced{Bank: bank, Subarray: sub, Op: ops[rng.Intn(len(ops))]}
 	}
 	return stream
 }
@@ -167,7 +179,7 @@ func TestEngineSeedEquivalence(t *testing.T) {
 				stream := genStream(rng, g, 400)
 				for i, p := range stream {
 					want := ref.issue(p)
-					got := eng.Issue(p)
+					got := eng.Issue(p.compact())
 					if want != got {
 						t.Fatalf("salp=%v ssd=%v seed=%d op %d: completion %v != seed %v", salp, withSSD, streamSeed, i, got, want)
 					}
@@ -194,7 +206,7 @@ func TestEngineResetEquivalence(t *testing.T) {
 	eng := NewEngine(g, tm, true)
 	rng := rand.New(rand.NewSource(7))
 	for _, p := range genStream(rng, g, 200) {
-		eng.Issue(p)
+		eng.Issue(p.compact())
 	}
 
 	// Reset: replay a second stream and compare with a fresh engine.
@@ -203,7 +215,7 @@ func TestEngineResetEquivalence(t *testing.T) {
 	rng2 := rand.New(rand.NewSource(8))
 	stream := genStream(rng2, g, 200)
 	for i, p := range stream {
-		if got, want := eng.Issue(p), fresh.Issue(p); got != want {
+		if got, want := eng.Issue(p.compact()), fresh.Issue(p.compact()); got != want {
 			t.Fatalf("after Reset, op %d: %v != fresh %v", i, got, want)
 		}
 	}
@@ -219,7 +231,7 @@ func TestEngineResetEquivalence(t *testing.T) {
 	fresh2 := NewEngine(g2, tm2, false)
 	rng3 := rand.New(rand.NewSource(9))
 	for i, p := range genStream(rng3, g2, 200) {
-		if got, want := eng.Issue(p), fresh2.Issue(p); got != want {
+		if got, want := eng.Issue(p.compact()), fresh2.Issue(p.compact()); got != want {
 			t.Fatalf("after Reconfigure, op %d: %v != fresh %v", i, got, want)
 		}
 	}

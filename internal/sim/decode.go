@@ -207,7 +207,7 @@ func (s *Subarray) ExecDecoded(d *Decoded, i int, io *HostIO, spill *SpillStore)
 // ops), errors carry the same "op %d at bank %d sub %d" wrapping, and every
 // executed op is issued to the timing engine, so makespans, stats and stop
 // points match the generic stream path exactly — without building a
-// []dram.Placed or copying an isa.Op per command.
+// []PlacedOp or copying an isa.Op per command.
 func (m *Machine) RunDecodedCtx(ctx context.Context, d *Decoded, bank, sub int, io *HostIO, b guard.Budget) (float64, error) {
 	s := m.Sub(bank, sub)
 	spill := m.spillAt(bank, sub)

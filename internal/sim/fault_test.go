@@ -115,9 +115,9 @@ func TestMachineFaultFactoryDeterministic(t *testing.T) {
 			ReadSink: func(tag int, data []uint64) { out = data[0] },
 		}
 		prog := andProgram()
-		stream := make([]dram.Placed, len(prog.Ops))
+		stream := make([]PlacedOp, len(prog.Ops))
 		for i, op := range prog.Ops {
-			stream[i] = dram.Placed{Bank: 0, Subarray: 0, Op: op}
+			stream[i] = PlacedOp{Bank: 0, Subarray: 0, Op: op}
 		}
 		if _, err := m.Run(stream, io); err != nil {
 			t.Fatal(err)

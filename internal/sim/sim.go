@@ -871,10 +871,20 @@ func (m *Machine) MemBytes() int64 {
 	return n
 }
 
+// PlacedOp is a whole micro-op bound to a physical subarray: the element
+// of the functional placed stream Run executes. The timing engine's own
+// dram.Placed carries only the fields timing reads; executing an op needs
+// all of it.
+type PlacedOp struct {
+	Bank     int
+	Subarray int
+	Op       isa.Op
+}
+
 // Run executes a placed op stream functionally and through the timing
 // engine, returning the makespan in nanoseconds. The first functional error
 // aborts the run.
-func (m *Machine) Run(stream []dram.Placed, io *HostIO) (float64, error) {
+func (m *Machine) Run(stream []PlacedOp, io *HostIO) (float64, error) {
 	return m.RunCtx(nil, stream, io, guard.Budget{})
 }
 
@@ -885,7 +895,7 @@ func (m *Machine) Run(stream []dram.Placed, io *HostIO) (float64, error) {
 // non-nil ctx is observed every 256 ops for cooperative cancellation.
 // Guard stops, like functional errors, abort before the offending op
 // executes.
-func (m *Machine) RunCtx(ctx context.Context, stream []dram.Placed, io *HostIO, b guard.Budget) (float64, error) {
+func (m *Machine) RunCtx(ctx context.Context, stream []PlacedOp, io *HostIO, b guard.Budget) (float64, error) {
 	// Per-subarray HostIO adapters for the At variants are built at most
 	// once per (run, subarray) — never per op.
 	useAt := io != nil && (io.WriteDataAt != nil || io.ReadSinkAt != nil)
@@ -932,7 +942,7 @@ func (m *Machine) RunCtx(ctx context.Context, stream []dram.Placed, io *HostIO, 
 		if err := sub.Exec(&p.Op, effIO, m.spillAt(p.Bank, p.Subarray)); err != nil {
 			return m.engine.Makespan(), fmt.Errorf("op %d at bank %d sub %d: %w", i, p.Bank, p.Subarray, err)
 		}
-		m.engine.Issue(*p)
+		m.engine.IssueOp(p.Bank, p.Subarray, p.Op.Kind, p.Op.Imm)
 	}
 	return m.engine.Makespan(), nil
 }

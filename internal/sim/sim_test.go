@@ -196,7 +196,7 @@ func TestMachineRunAndTiming(t *testing.T) {
 	g := dram.DefaultGeometry()
 	m := NewMachine(MachineConfig{Geom: g, Arch: isa.Ambit, Lanes: 64})
 	io := &HostIO{WriteData: func(tag int) []uint64 { return []uint64{uint64(tag)} }}
-	stream := []dram.Placed{
+	stream := []PlacedOp{
 		{Bank: 0, Subarray: 0, Op: isa.NewWrite(isa.Row(0), 1)},
 		{Bank: 1, Subarray: 0, Op: isa.NewWrite(isa.Row(0), 2)},
 		{Bank: 0, Subarray: 0, Op: isa.NewAAP(isa.Row(0), isa.T0)},
@@ -221,7 +221,7 @@ func TestMachineWithSSDChargesSpills(t *testing.T) {
 	dev := ssd.New(ssd.DefaultConfig())
 	m := NewMachine(MachineConfig{Geom: g, Arch: isa.Ambit, Lanes: 64, SSD: dev})
 	io := &HostIO{WriteData: func(int) []uint64 { return []uint64{7} }}
-	stream := []dram.Placed{
+	stream := []PlacedOp{
 		{Bank: 0, Subarray: 0, Op: isa.NewWrite(isa.Row(0), 0)},
 		{Bank: 0, Subarray: 0, Op: isa.NewSpillOut(isa.Row(0), 0)},
 		{Bank: 0, Subarray: 0, Op: isa.NewSpillIn(isa.Row(1), 0)},
@@ -264,7 +264,7 @@ func TestRunProgram(t *testing.T) {
 
 func TestFunctionalErrorAborts(t *testing.T) {
 	m := NewMachine(MachineConfig{Geom: dram.DefaultGeometry(), Arch: isa.Ambit, Lanes: 64})
-	stream := []dram.Placed{{Bank: 0, Subarray: 0, Op: isa.NewAAP(isa.Row(0), isa.T0)}}
+	stream := []PlacedOp{{Bank: 0, Subarray: 0, Op: isa.NewAAP(isa.Row(0), isa.T0)}}
 	if _, err := m.Run(stream, nil); err == nil {
 		t.Error("uninitialized read did not abort run")
 	}

@@ -246,41 +246,64 @@ func ToVerticalWide(elems [][]uint64, width, lanes int) [][]uint64 {
 	return rows
 }
 
+// narrowBits is the most live bits a limb may hold for FromVerticalWide
+// to gather it bit by bit: a Transpose64 costs the same for one live bit
+// as for 64, so for a few bits direct extraction is cheaper. Gathering
+// 8192 lanes on a 2-core Xeon, the bit-by-bit path took 0.59-0.79x the
+// Transpose64 path's time at 1-4 bits, 0.92x (within run-to-run spread)
+// at 5 and no less from 6 bits on.
+const narrowBits = 4
+
 // FromVerticalWide gathers bit-rows back into wide elements of
-// ceil(width/64) limbs each.
+// ceil(width/64) limbs each. Rows beyond len(rows), and words beyond a
+// row's length, read as zero. Every lane is cut from one backing array and
+// capped at its own limbs, so the result costs two allocations whatever
+// the lane count, and appending to one lane reallocates that lane instead
+// of overwriting the next.
 func FromVerticalWide(rows [][]uint64, width, lanes int) [][]uint64 {
 	if width <= 0 {
 		panic("transpose: non-positive width")
 	}
 	limbs := (width + 63) / 64
+	backing := make([]uint64, lanes*limbs)
 	elems := make([][]uint64, lanes)
 	for i := range elems {
-		elems[i] = make([]uint64, limbs)
+		elems[i] = backing[i*limbs : (i+1)*limbs : (i+1)*limbs]
 	}
 	var block [64]uint64
 	for limb := 0; limb < limbs; limb++ {
 		lo := limb * 64
-		hi := lo + 64
-		if hi > width {
-			hi = width
+		bits := min(width, len(rows)) - lo // live rows in this limb
+		if bits <= 0 {
+			break // every remaining limb reads as zero
 		}
+		bits = min(bits, 64)
 		for base := 0; base < lanes; base += 64 {
-			n := lanes - base
-			if n > 64 {
-				n = 64
-			}
+			n := min(lanes-base, 64)
 			word := base / 64
-			for b := 0; b < 64; b++ {
+			for b := 0; b < bits; b++ {
 				block[b] = 0
-			}
-			for b := lo; b < hi && b < len(rows); b++ {
-				if word < len(rows[b]) {
-					block[b-lo] = rows[b][word]
+				if r := rows[lo+b]; word < len(r) {
+					block[b] = r[word]
 				}
+			}
+			out := backing[base*limbs+limb:]
+			if bits <= narrowBits {
+				for i := 0; i < n; i++ {
+					var v uint64
+					for b := 0; b < bits; b++ {
+						v |= (block[b] >> uint(i) & 1) << uint(b)
+					}
+					out[i*limbs] = v
+				}
+				continue
+			}
+			for b := bits; b < 64; b++ {
+				block[b] = 0
 			}
 			Transpose64(&block)
 			for i := 0; i < n; i++ {
-				elems[base+i][limb] = block[i]
+				out[i*limbs] = block[i]
 			}
 		}
 	}

@@ -102,10 +102,15 @@ func Serial(prog *isa.Program, placements []Placement) []dram.Placed {
 // SerialTo streams the naive broadcast into sink.
 func SerialTo(prog *isa.Program, placements []Placement, sink Sink) {
 	for _, p := range placements {
-		for _, op := range prog.Ops {
-			sink(dram.Placed{Bank: p.Bank, Subarray: p.Subarray, Op: op})
+		for k := range prog.Ops {
+			sink(place(p, &prog.Ops[k]))
 		}
 	}
+}
+
+// place binds op to placement p as a timing command.
+func place(p Placement, op *isa.Op) dram.Placed {
+	return dram.Placed{Bank: int32(p.Bank), Subarray: int32(p.Subarray), Kind: op.Kind, Imm: op.Imm}
 }
 
 // Lockstep is the hands-tuned methodology's bank-parallel broadcast: each
@@ -121,17 +126,18 @@ func Lockstep(prog *isa.Program, placements []Placement) []dram.Placed {
 
 // LockstepTo streams the lockstep broadcast into sink.
 func LockstepTo(prog *isa.Program, placements []Placement, sink Sink) {
-	for _, op := range prog.Ops {
+	for k := range prog.Ops {
 		for _, p := range placements {
-			sink(dram.Placed{Bank: p.Bank, Subarray: p.Subarray, Op: op})
+			sink(place(p, &prog.Ops[k]))
 		}
 	}
 }
 
 // Emit produces the VIRCOE-interleaved issue stream for one program
-// replicated over the placements.
+// replicated over the placements. The stream is allocated once, at its
+// exact final length (every op of the program, once per placement).
 func Emit(prog *isa.Program, placements []Placement, mode Mode, t dram.Timing) ([]dram.Placed, Stats) {
-	var stream []dram.Placed
+	stream := make([]dram.Placed, 0, len(prog.Ops)*len(placements))
 	st := EmitTo(prog, placements, mode, t, func(p dram.Placed) { stream = append(stream, p) })
 	return stream, st
 }
@@ -219,11 +225,7 @@ func EmitTo(prog *isa.Program, placements []Placement, mode Mode, t dram.Timing,
 			bestStart = s
 		}
 		pc := pcs[best]
-		sink(dram.Placed{
-			Bank:     placements[best].Bank,
-			Subarray: placements[best].Subarray,
-			Op:       ops[pc],
-		})
+		sink(place(placements[best], &ops[pc]))
 		if lastEmitted >= 0 && best != lastEmitted && pcs[lastEmitted] < len(ops) {
 			st.Interleave++
 		}

@@ -74,13 +74,13 @@ func TestEmitPreservesPerSubarrayOrder(t *testing.T) {
 	if st.Ops != len(prog.Ops)*8 || len(stream) != st.Ops {
 		t.Fatalf("ops = %d, want %d", st.Ops, len(prog.Ops)*8)
 	}
-	// Per placement, the op subsequence must equal the program.
-	idx := make(map[[2]int]int)
+	// Per placement, the command subsequence must equal the program.
+	idx := make(map[[2]int32]int)
 	for _, pl := range stream {
-		key := [2]int{pl.Bank, pl.Subarray}
-		want := prog.Ops[idx[key]]
-		if pl.Op.String() != want.String() {
-			t.Fatalf("subarray %v op %d = %v, want %v", key, idx[key], pl.Op, want)
+		key := [2]int32{pl.Bank, pl.Subarray}
+		want := &prog.Ops[idx[key]]
+		if pl.Kind != want.Kind || pl.Imm != want.Imm {
+			t.Fatalf("subarray %v op %d = kind %v imm %d, want %v", key, idx[key], pl.Kind, pl.Imm, want)
 		}
 		idx[key]++
 	}
@@ -165,6 +165,7 @@ func TestEmitFunctionallyCorrectPerSubarray(t *testing.T) {
 	g := dram.DefaultGeometry()
 	ps := mustPlacements(t, g, 6)
 	stream, _ := Emit(prog, ps, BankAware, dram.TimingFor(isa.Ambit, g))
+	ops := functionalStream(t, prog, stream)
 
 	m := sim.NewMachine(sim.MachineConfig{Geom: g, Arch: isa.Ambit, Lanes: 64})
 	got := make(map[[2]int]uint64)
@@ -176,7 +177,7 @@ func TestEmitFunctionallyCorrectPerSubarray(t *testing.T) {
 			got[[2]int{bank, sub}] = data[0]
 		},
 	}
-	if _, err := m.Run(stream, io); err != nil {
+	if _, err := m.Run(ops, io); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 6 {
@@ -186,6 +187,49 @@ func TestEmitFunctionallyCorrectPerSubarray(t *testing.T) {
 		want := uint64(p.Bank*100 + p.Subarray + 7)
 		if got[[2]int{p.Bank, p.Subarray}] != want {
 			t.Errorf("tile %v = %d, want %d", p, got[[2]int{p.Bank, p.Subarray}], want)
+		}
+	}
+}
+
+// functionalStream rebuilds the whole-op stream the functional simulator
+// executes from a compact timing stream: each placement's k-th command is
+// the program's k-th op. It fails the test unless every command's kind and
+// immediate match the op it stands for.
+func functionalStream(t *testing.T, prog *isa.Program, stream []dram.Placed) []sim.PlacedOp {
+	t.Helper()
+	next := make(map[[2]int32]int)
+	out := make([]sim.PlacedOp, len(stream))
+	for i, pl := range stream {
+		key := [2]int32{pl.Bank, pl.Subarray}
+		k := next[key]
+		if k >= len(prog.Ops) {
+			t.Fatalf("command %d: subarray %v issued more than %d ops", i, key, len(prog.Ops))
+		}
+		op := prog.Ops[k]
+		if pl.Kind != op.Kind || pl.Imm != op.Imm {
+			t.Fatalf("command %d: subarray %v op %d has kind %v imm %d, program has %v", i, key, k, pl.Kind, pl.Imm, op)
+		}
+		out[i] = sim.PlacedOp{Bank: int(pl.Bank), Subarray: int(pl.Subarray), Op: op}
+		next[key] = k + 1
+	}
+	return out
+}
+
+// Every materializing emitter allocates its stream once, at its exact
+// final length.
+func TestStreamsPresized(t *testing.T) {
+	prog := testProgram(5, 3)
+	g := dram.DefaultGeometry()
+	ps := mustPlacements(t, g, 20)
+	tm := dram.TimingFor(isa.Ambit, g)
+	emitted, _ := Emit(prog, ps, BankAware, tm)
+	for name, stream := range map[string][]dram.Placed{
+		"Emit":     emitted,
+		"Serial":   Serial(prog, ps),
+		"Lockstep": Lockstep(prog, ps),
+	} {
+		if want := len(prog.Ops) * len(ps); len(stream) != want || cap(stream) != want {
+			t.Errorf("%s: len %d cap %d, want both %d", name, len(stream), cap(stream), want)
 		}
 	}
 }
@@ -253,7 +297,7 @@ func referenceEmit(prog *isa.Program, placements []Placement, mode Mode, t dram.
 			bestStart = s
 		}
 		op := &ops[pcs[best]]
-		stream = append(stream, dram.Placed{Bank: placements[best].Bank, Subarray: placements[best].Subarray, Op: *op})
+		stream = append(stream, place(placements[best], op))
 		if op.IsTransfer() {
 			busFree = bestStart + t.BusLatency(op)
 		}
